@@ -229,7 +229,7 @@ def _warm_lp_row(gens: int) -> dict:
         build_eps_template(num_generators=gens), reliability_target=1e-4
     )
     form = spec.build_encoder().model.to_matrix_form()
-    a = form.dense_A()
+    a = form.A
     start = time.perf_counter()
     base = solve_lp(
         form.c, a, form.senses, form.b, form.lb, form.ub, want_basis=True

@@ -28,7 +28,8 @@ CREATE TABLE IF NOT EXISTS reliability (
     digest TEXT PRIMARY KEY,
     method TEXT NOT NULL,
     value REAL NOT NULL,
-    created_at REAL NOT NULL
+    created_at REAL NOT NULL,
+    problem TEXT
 )
 """
 
@@ -78,13 +79,22 @@ class SQLiteBackend:
         Older caches stored only ``digest -> value``; the ``problem``
         column (the canonical payload audited by :mod:`repro.verify`) is
         added in place. Entries written before the migration keep a NULL
-        payload and are simply not auditable.
+        payload and are simply not auditable. Another process may add the
+        column between the check and the ``ALTER``; SQLite then reports a
+        duplicate column, which means the file is already migrated.
         """
-        columns = {
+        if "problem" in self._columns():
+            return
+        try:
+            self._conn.execute("ALTER TABLE reliability ADD COLUMN problem TEXT")
+        except sqlite3.OperationalError as exc:
+            if "duplicate column" not in str(exc):
+                raise
+
+    def _columns(self) -> set:
+        return {
             row[1] for row in self._conn.execute("PRAGMA table_info(reliability)")
         }
-        if "problem" not in columns:
-            self._conn.execute("ALTER TABLE reliability ADD COLUMN problem TEXT")
 
     @property
     def closed(self) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -458,12 +458,22 @@ def _iter_pool(
     # telemetry and metrics).
     inflight: Dict[str, Any] = {}
     finished: set = set()
+    # Stand-in futures for jobs the pool refused because it was already
+    # broken: they never ran, so their resubmission keeps its attempt count.
+    unsent: set = set()
 
     def submit(job: Job, attempts: int) -> None:
         if job.job_id in finished or job.job_id in inflight:
             writer.emit("job_dedup", job=job.job_id, attempt=attempts)
             return
-        fut = pool.submit(_worker_run, job, trace_doc)
+        try:
+            fut = pool.submit(_worker_run, job, trace_doc)
+        except BrokenProcessPool as exc:
+            # A worker died while jobs were still being handed over; park
+            # the job on a failed future so the rebuild below picks it up.
+            fut = Future()
+            fut.set_exception(exc)
+            unsent.add(fut)
         pending[fut] = (job, attempts, time.monotonic())
         inflight[job.job_id] = fut
 
@@ -541,6 +551,10 @@ def _iter_pool(
                 pool = make_pool()
                 for fut in list(pending):
                     job, attempts, _ = drop(fut)
+                    if fut in unsent:
+                        unsent.discard(fut)
+                        submit(job, attempts)
+                        continue
                     if fut.done() and fut.exception() is None:
                         # The pool broke *around* a completed job: report
                         # its finished result instead of running it again.

@@ -31,11 +31,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .. import obs
 from .model import MatrixForm
 from .search_events import SearchEventEmitter
-from .simplex import LPBasis, LPResult, LPStatus, solve_lp
+from .simplex import LPBasis, LPResult, LPRows, LPStatus
 
 __all__ = ["BnBOptions", "BnBStats", "solve_milp", "MilpOutcome", "exit_gap"]
 
@@ -230,16 +231,19 @@ def _solve_milp_search(
     int_mask = form.integrality
     counter = itertools.count()
 
-    dense_a = form.dense_A()  # B&B is dispatched to small models only
-    use_simplex = opts.lp_engine != "scipy"
+    # Every node LP shares the rows: build their solver-side form once.
+    if opts.lp_engine == "scipy":
+        highs_rows = _highs_rows(form)
+    else:
+        rows = LPRows(form.A, form.senses)
 
     def lp_solve(
         lb: np.ndarray, ub: np.ndarray, basis: Optional[LPBasis] = None
     ) -> LPResult:
-        if not use_simplex:
-            return _scipy_lp(form, dense_a, lb, ub)
-        res = solve_lp(
-            form.c, dense_a, form.senses, form.b, lb, ub,
+        if opts.lp_engine == "scipy":
+            return _scipy_lp(form, highs_rows, lb, ub)
+        res = rows.solve(
+            form.c, form.b, lb, ub,
             warm_basis=basis if opts.warm_start else None,
             want_basis=opts.warm_start,
         )
@@ -477,35 +481,30 @@ def _try_rounding(form, x, int_mask, lp_solve, node, stats) -> None:
     return None
 
 
+def _highs_rows(form: MatrixForm) -> dict:
+    """``linprog`` row arguments: ``>=`` rows negated into ``A_ub``."""
+    a = sparse.csr_matrix(form.A, dtype=float)
+    senses = np.asarray(form.senses, dtype=object)
+    ub_rows = np.flatnonzero(senses != "==")
+    eq_rows = np.flatnonzero(senses == "==")
+    sign = np.where(senses[ub_rows] == "<=", 1.0, -1.0)
+    out = {"A_ub": None, "b_ub": None, "A_eq": None, "b_eq": None}
+    if len(ub_rows):
+        out["A_ub"] = sparse.diags(sign) @ a[ub_rows]
+        out["b_ub"] = sign * form.b[ub_rows]
+    if len(eq_rows):
+        out["A_eq"] = a[eq_rows]
+        out["b_eq"] = form.b[eq_rows]
+    return out
+
+
 def _scipy_lp(
-    form: MatrixForm, dense_a: np.ndarray, lb: np.ndarray, ub: np.ndarray
+    form: MatrixForm, rows: dict, lb: np.ndarray, ub: np.ndarray
 ) -> LPResult:
     """LP relaxation via scipy's HiGHS simplex/IPM."""
     from scipy.optimize import linprog
 
-    a_ub_rows = []
-    b_ub = []
-    a_eq_rows = []
-    b_eq = []
-    for i, sense in enumerate(form.senses):
-        if sense == "<=":
-            a_ub_rows.append(dense_a[i])
-            b_ub.append(form.b[i])
-        elif sense == ">=":
-            a_ub_rows.append(-dense_a[i])
-            b_ub.append(-form.b[i])
-        else:
-            a_eq_rows.append(dense_a[i])
-            b_eq.append(form.b[i])
-    res = linprog(
-        form.c,
-        A_ub=np.array(a_ub_rows) if a_ub_rows else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq_rows) if a_eq_rows else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=list(zip(lb, ub)),
-        method="highs",
-    )
+    res = linprog(form.c, bounds=list(zip(lb, ub)), method="highs", **rows)
     iterations = int(res.nit) if hasattr(res, "nit") else 0
     if res.status == 0:
         return LPResult(LPStatus.OPTIMAL, float(res.fun), np.asarray(res.x), iterations)

@@ -2,7 +2,7 @@
 
 :class:`Model` plays the role that YALMIP played in the paper's ARCHEX
 prototype: it collects decision variables, linear constraints and an
-objective, and exports them in a dense matrix form consumed by the solvers
+objective, and exports them in a sparse matrix form consumed by the solvers
 in :mod:`repro.ilp.branch_and_bound` and :mod:`repro.ilp.scipy_backend`.
 """
 
@@ -31,8 +31,9 @@ class MatrixForm:
 
     ``A`` is a scipy CSR sparse matrix — the eager encodings (ILP-AR,
     ILP-TSE) reach hundreds of thousands of rows where a dense matrix
-    would not fit in memory. :meth:`dense_A` densifies on demand for the
-    from-scratch simplex, which is only dispatched to small models.
+    would not fit in memory. Every solver consumes it sparse, the
+    from-scratch simplex included; :meth:`dense_A` densifies on demand
+    for callers that want a dense view (small models only).
     """
 
     c: np.ndarray

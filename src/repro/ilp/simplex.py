@@ -1,4 +1,4 @@
-"""Bounded-variable revised simplex with a factorized, reusable basis.
+"""Bounded-variable revised simplex on sparse storage with a reusable basis.
 
 This is the from-scratch LP engine that backs the branch-and-bound MILP
 solver in :mod:`repro.ilp.branch_and_bound` (the role CPLEX's LP relaxation
@@ -6,13 +6,17 @@ played in the paper's experiments). It implements the revised primal simplex
 method with explicit variable bounds, a two-phase cold start, and — the
 pieces that make CEGIS-style re-solving cheap — a *warm* start path:
 
-* the basis is LU-factorized once (``scipy.linalg.lu_factor`` when scipy is
-  importable, a pure-numpy partial-pivot LU otherwise) and maintained across
-  pivots with product-form *eta* updates; every solve of ``B x = b`` (FTRAN)
-  or ``B^T y = c`` (BTRAN) runs against the factorization, so a pivot costs
-  O(m^2) instead of the O(m^3) refactorize-per-pivot of the original
-  implementation. The factorization is rebuilt every
-  ``_REFACTOR_EVERY`` pivots to bound eta-file growth and drift;
+* the rows are held once in equality form, ``[A | slacks | artificials]``,
+  as one CSC matrix (:class:`LPRows`, shared by every node LP of a MILP).
+  Pricing ``c - A^T y`` and the dual ratio row ``A^T (B^-T e_r)`` are
+  sparse matvecs over its CSR transpose, and entering columns are read
+  from its ``indptr`` slices, so no dense constraint matrix is ever built;
+* the basis is factorized with SuperLU (``scipy.sparse.linalg.splu``; scipy
+  is a hard dependency, so there is no pure-numpy fallback) and
+  maintained across pivots with product-form *eta* updates; every solve of
+  ``B x = b`` (FTRAN) or ``B^T y = c`` (BTRAN) runs against the
+  factorization. The factorization is rebuilt every ``_REFACTOR_EVERY``
+  pivots to bound eta-file growth and drift;
 * :func:`solve_lp` accepts a starting :class:`LPBasis` and re-optimizes from
   it with a bounded-variable **dual simplex** — the textbook move after
   tightening bounds (branch-and-bound children) or appending rows (learned
@@ -36,18 +40,14 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .. import obs
 
-try:  # pragma: no cover - scipy is a declared dependency, but stay runnable
-    from scipy.linalg import lu_factor as _sp_lu_factor
-    from scipy.linalg import lu_solve as _sp_lu_solve
-
-    _HAVE_SCIPY_LU = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY_LU = False
-
-__all__ = ["LPStatus", "LPResult", "LPBasis", "NO_SLACK", "solve_lp", "bland_cutover"]
+__all__ = [
+    "LPStatus", "LPResult", "LPBasis", "LPRows", "NO_SLACK", "solve_lp",
+    "bland_cutover",
+]
 
 _TOL = 1e-9
 _FEAS_TOL = 1e-7
@@ -122,7 +122,7 @@ class LPResult:
 
 def solve_lp(
     c: np.ndarray,
-    a: np.ndarray,
+    a,
     senses: Sequence[str],
     b: np.ndarray,
     lb: np.ndarray,
@@ -133,65 +133,111 @@ def solve_lp(
 ) -> LPResult:
     """Minimize ``c @ x`` subject to ``A x (senses) b`` and ``lb <= x <= ub``.
 
-    Parameters mirror :class:`repro.ilp.model.MatrixForm`. Bounds may be
-    infinite; rows may mix ``<=``, ``>=`` and ``==``.
+    Parameters mirror :class:`repro.ilp.model.MatrixForm`: ``a`` may be the
+    CSR ``MatrixForm.A`` or a dense array. Bounds may be infinite; rows may
+    mix ``<=``, ``>=`` and ``==``.
 
     ``warm_basis`` (from a previous :class:`LPResult` with ``want_basis``)
     re-optimizes via dual simplex instead of the two-phase cold start; it is
     safe to pass a basis recorded under different bounds — the standard
     branch-and-bound warm start — or one extended over newly appended
     rows/columns. An unusable basis silently falls back to the cold start.
+    Callers solving many LPs over the same rows build one :class:`LPRows`
+    and call its :meth:`~LPRows.solve` instead.
     """
-    c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lb = np.asarray(lb, dtype=float)
-    ub = np.asarray(ub, dtype=float)
-    m, n = a.shape if a.size else (len(b), len(c))
-    if m == 0:
-        # Pure bound-constrained minimization.
-        x = _bound_only_solution(c, lb, ub)
-        if x is None:
-            return LPResult(LPStatus.UNBOUNDED, -math.inf, None, 0)
-        return LPResult(LPStatus.OPTIMAL, float(c @ x), x, 0)
-
-    # -- convert to equality form with slack columns ------------------------
-    slack_rows = [i for i, s in enumerate(senses) if s != "=="]
-    n_slack = len(slack_rows)
-    a_eq = np.zeros((m, n + n_slack))
-    a_eq[:, :n] = a
-    lb_full = np.concatenate([lb, np.zeros(n_slack)])
-    ub_full = np.concatenate([ub, np.full(n_slack, math.inf)])
-    for k, row in enumerate(slack_rows):
-        a_eq[row, n + k] = 1.0 if senses[row] == "<=" else -1.0
-    c_full = np.concatenate([c, np.zeros(n_slack)])
-
-    warm_flags = (
-        _flags_from_basis(warm_basis, n, m, slack_rows)
-        if warm_basis is not None
-        else None
+    if not sparse.issparse(a):
+        a = np.asarray(a, dtype=float)
+        if a.size == 0:
+            a = a.reshape(len(b), len(c))
+    return LPRows(a, senses).solve(
+        c, b, lb, ub, max_iterations=max_iterations,
+        warm_basis=warm_basis, want_basis=want_basis,
     )
 
-    solver = _BoundedSimplex(a_eq, b.copy(), lb_full, ub_full, max_iterations)
-    status, iterations = solver.solve(c_full, warm_flags=warm_flags)
-    _record_lp_observations(solver)
-    if status is not LPStatus.OPTIMAL:
+
+class LPRows:
+    """The rows ``A x (senses) b`` of an LP in equality form, built once.
+
+    ``[A | slacks | artificials]`` is held as one CSC matrix: one slack
+    column per inequality row (``+1`` for ``<=``, ``-1`` for ``>=``) and
+    one artificial per row. Only the artificials' signs depend on a solve
+    (they follow the sign of its starting residual), so every LP over these
+    rows — each branch-and-bound node, whatever its bounds — shares the
+    index arrays and copies just the values.
+    """
+
+    def __init__(self, a, senses: Sequence[str]) -> None:
+        a = sparse.csc_matrix(a, dtype=float)
+        self.m, self.n = a.shape
+        senses = np.asarray(senses, dtype=object)
+        self.slack_rows = np.flatnonzero(senses != "==")
+        k = len(self.slack_rows)
+        slack_signs = np.where(senses[self.slack_rows] == "<=", 1.0, -1.0)
+        slacks = sparse.csc_matrix(
+            (slack_signs, (self.slack_rows, np.arange(k))), shape=(self.m, k)
+        )
+        self.n_eq = self.n + k
+        self.a = sparse.hstack(
+            [a, slacks, sparse.identity(self.m, format="csc")], format="csc"
+        )
+        self.a.sum_duplicates()  # _column assigns, so one entry per (i, j)
+        # Position in ``a.data`` of each artificial's single entry.
+        self._art_slots = self.a.indptr[self.n_eq : self.n_eq + self.m]
+
+    def with_artificial_signs(self, signs: np.ndarray) -> sparse.csc_matrix:
+        data = self.a.data.copy()
+        data[self._art_slots] = signs
+        return sparse.csc_matrix(
+            (data, self.a.indices, self.a.indptr), shape=self.a.shape
+        )
+
+    def solve(
+        self,
+        c: np.ndarray,
+        b: np.ndarray,
+        lb: np.ndarray,
+        ub: np.ndarray,
+        max_iterations: Optional[int] = None,
+        warm_basis: Optional[LPBasis] = None,
+        want_basis: bool = False,
+    ) -> LPResult:
+        """:func:`solve_lp` over these rows."""
+        c = np.asarray(c, dtype=float)
+        b = np.asarray(b, dtype=float)
+        lb = np.asarray(lb, dtype=float)
+        ub = np.asarray(ub, dtype=float)
+        n, m = self.n, self.m
+        if m == 0:
+            # Pure bound-constrained minimization.
+            x = _bound_only_solution(c, lb, ub)
+            if x is None:
+                return LPResult(LPStatus.UNBOUNDED, -math.inf, None, 0)
+            return LPResult(LPStatus.OPTIMAL, float(c @ x), x, 0)
+
+        n_slack = self.n_eq - n
+        lb_full = np.concatenate([lb, np.zeros(n_slack)])
+        ub_full = np.concatenate([ub, np.full(n_slack, math.inf)])
+        # Slacks and artificials cost nothing in phase 2.
+        c_full = np.concatenate([c, np.zeros(n_slack + m)])
+        warm_flags = (
+            _flags_from_basis(warm_basis, n, m, self.slack_rows)
+            if warm_basis is not None
+            else None
+        )
+
+        solver = _BoundedSimplex(self, b.copy(), lb_full, ub_full, max_iterations)
+        status, iterations = solver.solve(c_full, warm_flags=warm_flags)
+        _record_lp_observations(solver)
+        x, objective, basis = None, math.nan, None
+        if status is LPStatus.OPTIMAL:
+            x = solver.solution()[:n]
+            objective = float(c @ x)
+            if want_basis:
+                basis = solver.export_basis(n, m, self.slack_rows)
         return LPResult(
-            status, math.nan, None, iterations,
+            status, objective, x, iterations, basis=basis,
             warm_started=solver.warm_started, dual_pivots=solver.dual_pivots,
         )
-    x_full = solver.solution()
-    x = x_full[:n]
-    basis = solver.export_basis(n, m, slack_rows) if want_basis else None
-    return LPResult(
-        LPStatus.OPTIMAL,
-        float(c @ x),
-        x,
-        iterations,
-        basis=basis,
-        warm_started=solver.warm_started,
-        dual_pivots=solver.dual_pivots,
-    )
 
 
 def _record_lp_observations(solver: "_BoundedSimplex") -> None:
@@ -212,20 +258,16 @@ def _record_lp_observations(solver: "_BoundedSimplex") -> None:
 
 
 def _flags_from_basis(
-    basis: LPBasis, n: int, m: int, slack_rows: List[int]
+    basis: LPBasis, n: int, m: int, slack_rows: np.ndarray
 ) -> Optional[np.ndarray]:
     """Expand an :class:`LPBasis` into per-column flags, or None if stale."""
     if len(basis.var_status) != n or len(basis.row_status) != m:
         return None
-    flags = np.empty(n + len(slack_rows), dtype=np.int8)
-    flags[:n] = basis.var_status
-    for k, row in enumerate(slack_rows):
-        status = basis.row_status[row]
-        if status == NO_SLACK:
-            return None  # basis predates this row and was not extended
-        flags[n + k] = status
+    slack_status = basis.row_status[slack_rows]
+    if np.any(slack_status == NO_SLACK):
+        return None  # basis predates a row and was not extended
     # Equality rows carry no slack; any non-sentinel status there is ignored.
-    return flags
+    return np.concatenate([basis.var_status, slack_status]).astype(np.int8)
 
 
 def _bound_only_solution(
@@ -246,59 +288,12 @@ def _bound_only_solution(
     return x
 
 
-# -- LU kernels (scipy when available, pure numpy otherwise) -----------------
-
-
-def _np_lu_factor(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Partial-pivot LU compatible with :func:`_np_lu_solve` (getrf layout)."""
-    lu = a.copy()
-    m = lu.shape[0]
-    piv = np.arange(m)
-    for k in range(m):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv[k] = p
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-        pivot = lu[k, k]
-        if pivot != 0.0:
-            lu[k + 1 :, k] /= pivot
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, piv
-
-
-def _np_lu_solve(
-    lu_piv: Tuple[np.ndarray, np.ndarray], b: np.ndarray, trans: int = 0
-) -> np.ndarray:
-    lu, piv = lu_piv
-    m = lu.shape[0]
-    x = np.asarray(b, dtype=float).copy()
-    if trans == 0:
-        for k in range(m):  # apply row swaps: P b
-            p = piv[k]
-            if p != k:
-                x[k], x[p] = x[p], x[k]
-        for k in range(1, m):  # L y = P b (unit diagonal)
-            x[k] -= lu[k, :k] @ x[:k]
-        for k in range(m - 1, -1, -1):  # U x = y
-            x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    else:
-        for k in range(m):  # U^T y = b
-            x[k] = (x[k] - lu[:k, k] @ x[:k]) / lu[k, k]
-        for k in range(m - 1, -1, -1):  # L^T z = y
-            x[k] -= lu[k + 1 :, k] @ x[k + 1 :]
-        for k in range(m - 1, -1, -1):  # P^T x = z
-            p = piv[k]
-            if p != k:
-                x[k], x[p] = x[p], x[k]
-    return x
-
-
 class _SingularBasis(Exception):
     pass
 
 
 class _BasisFactors:
-    """LU factors of the basis matrix plus a product-form eta file.
+    """SuperLU factors of the basis matrix plus a product-form eta file.
 
     After a pivot replacing basic position ``pos`` with a column whose FTRAN
     image is ``alpha`` (= B^-1 a_entering), the inverse is updated as
@@ -308,23 +303,21 @@ class _BasisFactors:
     the LU back-solve.
     """
 
-    def __init__(self, basis_matrix: np.ndarray) -> None:
-        self.m = basis_matrix.shape[0]
-        if _HAVE_SCIPY_LU:
-            self._lu = _sp_lu_factor(basis_matrix, check_finite=False)
-            diag = np.abs(np.diag(self._lu[0]))
-        else:
-            self._lu = _np_lu_factor(basis_matrix)
-            diag = np.abs(np.diag(self._lu[0]))
+    def __init__(self, basis_matrix: sparse.csc_matrix) -> None:
+        # Imported here: scipy.sparse.linalg costs ~0.1 s and ~2 MiB, and
+        # every process importing repro.engine (pool workers too) imports
+        # this module whether or not it ever solves an LP.
+        from scipy.sparse.linalg import splu
+
+        try:
+            self._lu = splu(basis_matrix)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            raise _SingularBasis from None
+        diag = np.abs(self._lu.U.diagonal())
         scale = diag.max(initial=0.0)
         if scale == 0.0 or diag.min() < _SINGULAR_TOL * max(1.0, scale):
             raise _SingularBasis
         self.etas: List[Tuple[int, np.ndarray]] = []
-
-    def _lu_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        if _HAVE_SCIPY_LU:
-            return _sp_lu_solve(self._lu, rhs, trans=trans, check_finite=False)
-        return _np_lu_solve(self._lu, rhs, trans=trans)
 
     @property
     def eta_len(self) -> int:
@@ -336,7 +329,7 @@ class _BasisFactors:
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B x = rhs``."""
-        x = self._lu_solve(rhs, trans=0)
+        x = self._lu.solve(rhs)
         for pos, eta in self.etas:
             t = x[pos]
             if t != 0.0:
@@ -345,11 +338,11 @@ class _BasisFactors:
         return x
 
     def btran(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``B^T y = rhs``."""
-        y = np.asarray(rhs, dtype=float).copy()
+        """Solve ``B^T y = rhs``; ``rhs`` may hold several right-hand sides."""
+        y = np.array(rhs, dtype=float)
         for pos, eta in reversed(self.etas):
             y[pos] = eta @ y
-        return self._lu_solve(y, trans=1)
+        return self._lu.solve(y, trans="T")
 
     def update(self, alpha: np.ndarray, pos: int) -> None:
         """Record the pivot replacing basic position ``pos``.
@@ -369,48 +362,34 @@ class _BasisFactors:
 class _BoundedSimplex:
     """Two-phase revised simplex over ``A x = b, lb <= x <= ub``.
 
-    The tableau columns are laid out as ``[structural+slack | artificial]``;
-    the artificial block only participates in cold starts and is pinned at
-    zero afterwards (and from the beginning on warm starts).
+    The columns are laid out as ``[structural+slack | artificial]`` (an
+    :class:`LPRows` matrix); the artificial block only participates in cold
+    starts and is pinned at zero afterwards (and from the beginning on warm
+    starts).
     """
 
     def __init__(
         self,
-        a: np.ndarray,
+        rows: LPRows,
         b: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
         max_iterations: Optional[int],
     ) -> None:
-        self.m, self.n = a.shape
+        self.m, self.n = rows.m, rows.n_eq
+        self.n_total = self.n + self.m
+        self.n_structural = self.n
         self.max_iterations = max_iterations or max(
             5000, _MAX_ITER_FACTOR * (self.m + self.n)
         )
-        # Start every structural variable at a finite bound (0 for free vars).
-        xn = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-        flags = np.where(
-            np.isfinite(lb), _AT_LOWER, np.where(np.isfinite(ub), _AT_UPPER, _AT_LOWER)
-        ).astype(np.int8)
-
-        residual = b - a @ xn
-        # One artificial per row, signed so its value is |residual| >= 0.
-        art_cols = np.zeros((self.m, self.m))
-        for i in range(self.m):
-            art_cols[i, i] = 1.0 if residual[i] >= 0 else -1.0
-        self.a = np.hstack([a, art_cols])
         self.b = b
         self.lb = np.concatenate([lb, np.zeros(self.m)])
         self.ub = np.concatenate([ub, np.full(self.m, math.inf)])
-        self.xn = np.concatenate([xn, np.abs(residual)])
-        self.status_flags = np.concatenate(
-            [flags, np.full(self.m, _BASIC, dtype=np.int8)]
-        )
-        self.basis: List[int] = list(range(self.n, self.n + self.m))
-        self.n_total = self.n + self.m
-        self.n_structural = self.n
-
-        self.factors: Optional[_BasisFactors] = None
-        self.xb: Optional[np.ndarray] = None
+        self.a = rows.a
+        residual = self._reset_cold()
+        # One artificial per row, signed so its value is |residual| >= 0.
+        self.a = rows.with_artificial_signs(np.where(residual >= 0, 1.0, -1.0))
+        self.at = self.a.T  # CSR view sharing the CSC arrays
         self.warm_started = False
         self.refactorizations = 0
         self.dual_pivots = 0
@@ -420,6 +399,7 @@ class _BoundedSimplex:
     # -- main driver ---------------------------------------------------------
 
     def solve(self, c: np.ndarray, warm_flags: Optional[np.ndarray] = None):
+        """Phase-2 costs ``c`` cover every column, artificials included."""
         iterations = 0
         if warm_flags is not None and self._install(warm_flags):
             self.warm_started = True
@@ -446,21 +426,20 @@ class _BoundedSimplex:
         self._evict_artificials()
 
         # Phase 2: real objective on structural columns only.
-        status, it2 = self._primal(self._full_cost(c))
+        status, it2 = self._primal(c)
         return status, iterations + it2
 
     def solution(self) -> np.ndarray:
         return self._values()[: self.n_structural]
 
-    def export_basis(self, n: int, m: int, slack_rows: List[int]) -> Optional[LPBasis]:
+    def export_basis(self, n: int, m: int, slack_rows: np.ndarray) -> Optional[LPBasis]:
         """Snapshot the current basis, or None if an artificial is basic."""
         flags = self.status_flags
         if np.any(flags[self.n_structural :] == _BASIC):
             return None  # degenerate leftover: not a clean structural basis
         var_status = flags[:n].astype(np.int8).copy()
         row_status = np.full(m, NO_SLACK, dtype=np.int8)
-        for k, row in enumerate(slack_rows):
-            row_status[row] = flags[n + k]
+        row_status[slack_rows] = flags[n : self.n_structural]
         return LPBasis(var_status, row_status)
 
     # -- warm start ----------------------------------------------------------
@@ -472,7 +451,7 @@ class _BoundedSimplex:
         full = np.concatenate(
             [flags.astype(np.int8), np.full(self.m, _AT_LOWER, dtype=np.int8)]
         )
-        basis = [int(j) for j in np.flatnonzero(full == _BASIC)]
+        basis = np.flatnonzero(full == _BASIC)
         if len(basis) != self.m:
             return False
         # Artificials never participate in a warm solve.
@@ -499,38 +478,44 @@ class _BoundedSimplex:
         self._recompute_xb()
         return True
 
-    def _reset_cold(self) -> None:
-        """Restore the artificial starting basis after a failed warm start."""
+    def _reset_cold(self) -> np.ndarray:
+        """Install the artificial starting basis; returns the residual.
+
+        Every structural variable starts at a finite bound (0 for free
+        ones) and each artificial takes ``|residual|`` of its row. The
+        artificials rest at 0 in the residual, so it does not depend on
+        their column signs, which follow its sign.
+        """
         lb, ub = self.lb[: self.n], self.ub[: self.n]
         xn = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
         flags = np.where(
             np.isfinite(lb), _AT_LOWER, np.where(np.isfinite(ub), _AT_UPPER, _AT_LOWER)
         ).astype(np.int8)
-        # The artificial column signs from __init__ match this residual
-        # (same starting point), so only their bounds need restoring.
-        residual = self.b - self.a[:, : self.n] @ xn
+        xn = np.concatenate([xn, np.zeros(self.m)])
+        residual = self.b - self.a @ xn
+        xn[self.n :] = np.abs(residual)
+        self.xn = xn
         self.ub[self.n_structural :] = math.inf
-        self.xn = np.concatenate([xn, np.abs(residual)])
         self.status_flags = np.concatenate(
             [flags, np.full(self.m, _BASIC, dtype=np.int8)]
         )
-        self.basis = list(range(self.n, self.n + self.m))
-        self.factors = None
-        self.xb = None
+        self.basis = np.arange(self.n, self.n + self.m)
+        self.factors: Optional[_BasisFactors] = None
+        self.xb: Optional[np.ndarray] = None
+        return residual
 
     def _warm_solve(self, c: np.ndarray):
         """Dual (or primal phase-2) re-optimization from the installed basis.
 
         Returns ``(status, iterations)``, or None to request a cold restart.
         """
-        c_full = self._full_cost(c)
-        reduced = self._reduced_costs(c_full)
+        reduced = self._reduced_costs(c)
         if self._dual_feasible(reduced):
-            status, its = self._dual(c_full)
+            status, its = self._dual(c)
             if status is LPStatus.OPTIMAL:
                 # Polish with primal phase 2 (usually 0 iterations): bound
                 # flips during the dual pass can leave tiny residuals.
-                status2, its2 = self._primal(c_full)
+                status2, its2 = self._primal(c)
                 return status2, its + its2
             if status is LPStatus.INFEASIBLE:
                 return LPStatus.INFEASIBLE, its
@@ -538,15 +523,8 @@ class _BoundedSimplex:
         if self._primal_feasible():
             # Basis is primal feasible but not dual feasible (e.g. the
             # objective changed): plain phase 2, still no phase 1.
-            return self._primal(c_full)
+            return self._primal(c)
         return None
-
-    def _full_cost(self, c: np.ndarray) -> np.ndarray:
-        if len(c) == self.n_total:
-            return c
-        full = np.zeros(self.n_total)
-        full[: len(c)] = c
-        return full
 
     # -- factorization-backed state ------------------------------------------
 
@@ -575,20 +553,22 @@ class _BoundedSimplex:
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         y = self.factors.btran(c[self.basis])
-        return c - y @ self.a
+        return c - self.at @ y
 
-    def _dual_feasible(self, reduced: np.ndarray, tol: float = 1e-7) -> bool:
-        flags = self.status_flags
-        lb, ub = self.lb, self.ub
+    def _movable(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonbasic columns with ``lb < ub``: (at lower, at upper, free) masks."""
+        flags, lb, ub = self.status_flags, self.lb, self.ub
         movable = (flags != _BASIC) & (lb != ub)
         free = movable & ~np.isfinite(lb) & ~np.isfinite(ub)
+        return movable & (flags == _AT_LOWER), movable & (flags == _AT_UPPER), free
+
+    def _dual_feasible(self, reduced: np.ndarray, tol: float = 1e-7) -> bool:
+        at_lower, at_upper, free = self._movable()
         if np.any(np.abs(reduced[free]) > tol):
             return False
-        low = movable & (flags == _AT_LOWER) & ~free
-        if np.any(reduced[low] < -tol):
+        if np.any(reduced[at_lower & ~free] < -tol):
             return False
-        up = movable & (flags == _AT_UPPER)
-        return not np.any(reduced[up] > tol)
+        return not np.any(reduced[at_upper] > tol)
 
     def _primal_feasible(self, tol: float = _FEAS_TOL) -> bool:
         basis = self.basis
@@ -599,29 +579,44 @@ class _BoundedSimplex:
         )
 
     def _evict_artificials(self) -> None:
-        """Pivot basic artificials (at value ~0) out of the basis when possible."""
+        """Pivot basic artificials (at value ~0) out of the basis when possible.
+
+        Row ``pos`` of ``B^-1 A`` prices every column in one sparse matvec;
+        the first nonbasic structural column with a usable pivot element
+        enters at a zero step.
+        """
         changed = False
         for pos in range(self.m):
-            var = self.basis[pos]
-            if var < self.n_structural:
+            if self.basis[pos] < self.n_structural:
                 continue
-            basis_matrix = self.a[:, self.basis]
             try:
-                binv_row = np.linalg.solve(basis_matrix.T, _unit(self.m, pos))
-            except np.linalg.LinAlgError:
+                self._ensure_factors()
+            except _SingularBasis:
+                break
+            row = self.at @ self.factors.btran(_unit(self.m, pos))
+            usable = (np.abs(row[: self.n_structural]) > 1e-7) & (
+                self.status_flags[: self.n_structural] != _BASIC
+            )
+            if not usable.any():
                 continue
-            # Find a structural nonbasic column with a nonzero pivot element.
-            for j in range(self.n_structural):
-                if self.status_flags[j] == _BASIC:
-                    continue
-                pivot = binv_row @ self.a[:, j]
-                if abs(pivot) > 1e-7:
-                    self._pivot(entering=j, leaving_pos=pos, t=0.0, entering_to=None)
-                    changed = True
-                    break
+            entering = int(np.argmax(usable))
+            try:
+                self.factors.update(self.factors.ftran(self._column(entering)), pos)
+            except _SingularBasis:
+                self.factors = None
+            self._pivot(entering=entering, leaving_pos=pos, t=0.0, entering_to=None)
+            changed = True
         if changed:
             self.factors = None
             self.xb = None
+
+    def _column(self, j: int) -> np.ndarray:
+        """Column ``j`` of the tableau, dense, from its CSC slice."""
+        a = self.a
+        lo, hi = a.indptr[j], a.indptr[j + 1]
+        col = np.zeros(self.m)
+        col[a.indices[lo:hi]] = a.data[lo:hi]
+        return col
 
     # -- primal simplex ------------------------------------------------------
 
@@ -646,7 +641,7 @@ class _BoundedSimplex:
                 direction = -1.0 if reduced[entering] > 0 else 1.0
             else:
                 direction = 1.0 if self.status_flags[entering] == _AT_LOWER else -1.0
-            col = self.factors.ftran(self.a[:, entering]) * direction
+            col = self.factors.ftran(self._column(entering)) * direction
 
             best_t, leaving_pos, leaving_to = self._ratio_test(
                 entering, col, use_bland
@@ -680,7 +675,7 @@ class _BoundedSimplex:
 
     def _ratio_test(self, entering: int, col: np.ndarray, use_bland: bool):
         """Max step for the entering variable; vectorized over basic rows."""
-        basis = np.asarray(self.basis)
+        basis = self.basis
         xb = self.xb
         t = np.full(self.m, math.inf)
         to = np.full(self.m, _AT_LOWER, dtype=np.int8)
@@ -715,17 +710,13 @@ class _BoundedSimplex:
 
     def _price(self, reduced: np.ndarray, use_bland: bool) -> Optional[int]:
         """Pick the entering variable (Dantzig, or Bland when anti-cycling)."""
-        flags = self.status_flags
-        lb, ub = self.lb, self.ub
-        movable = (flags != _BASIC) & (lb != ub)
-        free = movable & ~np.isfinite(lb) & ~np.isfinite(ub)
+        at_lower, at_upper, free = self._movable()
         score = np.zeros(self.n_total)
         if np.any(free):
             score[free] = np.abs(reduced[free])
-        low = movable & (flags == _AT_LOWER) & ~free
+        low = at_lower & ~free
         score[low] = -reduced[low]
-        up = movable & (flags == _AT_UPPER)
-        score[up] = reduced[up]
+        score[at_upper] = reduced[at_upper]
         candidates = score > _TOL
         if not np.any(candidates):
             return None
@@ -748,7 +739,7 @@ class _BoundedSimplex:
                 self._ensure_factors()
             except _SingularBasis:
                 return LPStatus.ITERATION_LIMIT, iteration
-            basis = np.asarray(self.basis)
+            basis = self.basis
             lo = self.lb[basis]
             hi = self.ub[basis]
             below = np.where(np.isfinite(lo), lo - self.xb, -math.inf)
@@ -759,15 +750,19 @@ class _BoundedSimplex:
                 return LPStatus.OPTIMAL, iteration
             to_lower = below[r] >= above[r]
 
-            reduced = self._reduced_costs(c)
-            binv_row = self.factors.btran(_unit(self.m, r))
-            alpha = binv_row @ self.a
+            # One BTRAN and one sparse product for both c_B and e_r.
+            rhs = np.zeros((self.m, 2))
+            rhs[:, 0] = c[self.basis]
+            rhs[r, 1] = 1.0
+            priced = self.at @ self.factors.btran(rhs)
+            reduced = c - priced[:, 0]
+            alpha = priced[:, 1]
 
             entering = self._dual_ratio_test(reduced, alpha, to_lower)
             if entering is None:
                 return LPStatus.INFEASIBLE, iteration
 
-            alpha_q = self.factors.ftran(self.a[:, entering])
+            alpha_q = self.factors.ftran(self._column(entering))
             bound_r = lo[r] if to_lower else hi[r]
             step = (self.xb[r] - bound_r) / alpha[entering]
             self.xb -= step * alpha_q
@@ -787,19 +782,16 @@ class _BoundedSimplex:
         self, reduced: np.ndarray, alpha: np.ndarray, to_lower: bool
     ) -> Optional[int]:
         """Entering column keeping the reduced costs dual feasible."""
-        flags = self.status_flags
-        lb, ub = self.lb, self.ub
-        movable = (flags != _BASIC) & (lb != ub)
-        free = movable & ~np.isfinite(lb) & ~np.isfinite(ub)
+        at_lower, at_upper, free = self._movable()
         # Leaving variable sits below its lower bound (to_lower): its row
         # value must increase, so entering-at-lower needs alpha < 0 and
         # entering-at-upper needs alpha > 0; mirrored when above the upper.
         if to_lower:
-            ok_low = movable & (flags == _AT_LOWER) & (alpha < -_PIVOT_TOL)
-            ok_up = movable & (flags == _AT_UPPER) & (alpha > _PIVOT_TOL)
+            ok_low = at_lower & (alpha < -_PIVOT_TOL)
+            ok_up = at_upper & (alpha > _PIVOT_TOL)
         else:
-            ok_low = movable & (flags == _AT_LOWER) & (alpha > _PIVOT_TOL)
-            ok_up = movable & (flags == _AT_UPPER) & (alpha < -_PIVOT_TOL)
+            ok_low = at_lower & (alpha > _PIVOT_TOL)
+            ok_up = at_upper & (alpha < -_PIVOT_TOL)
         ok_free = free & (np.abs(alpha) > _PIVOT_TOL)
         candidates = ok_low | ok_up | ok_free
         if not np.any(candidates):

@@ -5,6 +5,7 @@ backend must hand back the *bit-identical* float — a sweep's results may
 never depend on which cache configuration executed it.
 """
 
+import sqlite3
 import threading
 
 import pytest
@@ -301,3 +302,74 @@ class TestWriteBackBatching:
     def test_batch_size_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             ShardedBackend(tmp_path, batch_size=0)
+
+
+class TestSQLiteMigration:
+    """Regression: two processes opening one fresh cache file both saw no
+    ``problem`` column, and the second ``ALTER TABLE`` failed in the pool
+    initializer with "duplicate column name"."""
+
+    def test_column_added_in_the_window_before_alter(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "race.sqlite"
+        first = SQLiteBackend(path)
+        # The second opener's column check ran before the first added the
+        # column, so it goes on to an ALTER that SQLite now refuses.
+        real_columns = SQLiteBackend._columns
+        monkeypatch.setattr(
+            SQLiteBackend, "_columns",
+            lambda self: real_columns(self) - {"problem"},
+        )
+        second = SQLiteBackend(path)
+        monkeypatch.undo()
+        try:
+            second.put(_digest(1), "bdd", 0.25, payload={"k": 1})
+            assert first.get(_digest(1)) == 0.25
+            assert len(first) == len(second) == 1
+        finally:
+            first.close()
+            second.close()
+
+    def test_old_schema_file_gains_the_column(self, tmp_path):
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "CREATE TABLE reliability (digest TEXT PRIMARY KEY, "
+            "method TEXT NOT NULL, value REAL NOT NULL, "
+            "created_at REAL NOT NULL)"
+        )
+        conn.execute(
+            "INSERT INTO reliability VALUES (?, 'bdd', 0.5, 0.0)", (_digest(7),)
+        )
+        conn.commit()
+        conn.close()
+        backend = SQLiteBackend(path)
+        try:
+            assert "problem" in backend._columns()
+            assert backend.get(_digest(7)) == 0.5
+        finally:
+            backend.close()
+
+    def test_other_alter_errors_still_raise(self, tmp_path, monkeypatch):
+        path = tmp_path / "locked.sqlite"
+        SQLiteBackend(path).close()
+        monkeypatch.setattr(SQLiteBackend, "_columns", lambda self: set())
+
+        class _Conn:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def execute(self, sql, *args):
+                if sql.startswith("ALTER"):
+                    raise sqlite3.OperationalError("database is locked")
+                return self._conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3, "connect", lambda *a, **kw: _Conn(real_connect(*a, **kw))
+        )
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            SQLiteBackend(path)

@@ -504,3 +504,76 @@ class TestPoolRebuildDedup:
         assert submissions.count("B") == 1, "completed job was re-executed"
         assert submissions.count("A") == 2
         assert len(pools) == 2
+
+
+class TestPoolBreaksDuringSubmission:
+    """Regression: a pool that broke while the batch was still being handed
+    over raised ``BrokenProcessPool`` out of ``run_batch`` from the first
+    submission loop instead of going through the rebuild path."""
+
+    def test_every_job_yielded_once(self, monkeypatch, tmp_path):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.engine import executor as executor_mod
+        from repro.engine.telemetry import TelemetryWriter, read_events
+
+        accept = 2  # the first pool takes two jobs, then refuses the rest
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers=None, initializer=None,
+                         initargs=()):
+                self.futures = []
+                self.submitted = []
+                pools.append(self)
+
+            def submit(self, fn, job, trace=None):
+                if len(pools) == 1 and len(self.submitted) >= accept:
+                    # The worker died: the first job had finished, the
+                    # second was lost with it, and the pool now refuses.
+                    self.futures[0].set_result(_wrapped_ok("J0-done"))
+                    self.futures[1].set_exception(
+                        BrokenProcessPool("worker died"))
+                    raise BrokenProcessPool("pool is broken")
+                fut = _FakeFuture()
+                self.submitted.append(job.job_id)
+                self.futures.append(fut)
+                if len(pools) > 1:
+                    fut.set_result(_wrapped_ok(f"{job.job_id}-pool2"))
+                return fut
+
+            def shutdown(self, wait=False, cancel_futures=False):
+                pass
+
+        def fake_wait(fs, timeout=None, return_when=None):
+            done = {f for f in fs if f.done()}
+            assert done, "a scripted future must be done"
+            return done, set(fs) - done
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(executor_mod, "wait", fake_wait)
+
+        ids = [f"J{i}" for i in range(6)]
+        batch = BatchSpec("broken-submit", [
+            Job(job_id=i, kind="noop", payload={}) for i in ids
+        ])
+        telemetry = tmp_path / "t.jsonl"
+        results = list(iter_batch(batch, jobs=2, retries=1,
+                                  writer=TelemetryWriter(str(telemetry))))
+
+        assert sorted(r.job_id for r in results) == ids
+        by_id = {r.job_id: r for r in results}
+        assert all(r.ok for r in results)
+        assert by_id["J0"].value == "J0-done"
+        assert by_id["J0"].attempts == 1
+        # J1 ran once and was lost with the worker; it is retried.
+        assert by_id["J1"].attempts == 2
+        # The rest were never accepted, so their one run is attempt 1.
+        for i in ids[2:]:
+            assert by_id[i].value == f"{i}-pool2"
+            assert by_id[i].attempts == 1
+        assert len(pools) == 2
+        assert sorted(pools[1].submitted) == ids[1:]
+        restarts = [e for e in read_events(telemetry)
+                    if e["event"] == "pool_restart"]
+        assert len(restarts) == 1

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
-from repro.ilp import LPStatus, solve_lp
+from repro.ilp import BnBOptions, LPBasis, LPStatus, Model, lin_sum, solve_lp
+from repro.ilp.model import MatrixForm
+from repro.ilp.simplex import (
+    _AT_LOWER,
+    _BASIC,
+    LPRows,
+    _BasisFactors,
+    _SingularBasis,
+)
 
 INF = math.inf
 
@@ -196,3 +205,144 @@ class TestLimitsAndEdgeCases:
         )
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(-5.0)
+
+
+# -- sparse core ---------------------------------------------------------------
+
+
+def _sparse_lp(seed, m, n, density):
+    """A random sparse LP over ``<=``/``>=``/``==`` rows, feasible by construction.
+
+    Every row is satisfied by an integer point ``x0`` inside the box, so
+    the LP is feasible and, with finite upper bounds, bounded.
+    """
+    rng = np.random.default_rng(seed)
+    a = sparse.random(
+        m, n, density=density, format="csr", random_state=rng,
+        data_rvs=lambda k: rng.integers(1, 6, size=k) * rng.choice([-1, 1], size=k),
+    )
+    ub = rng.integers(1, 6, size=n).astype(float)
+    x0 = np.floor(rng.random(n) * (ub + 1))
+    senses = list(rng.choice(["<=", ">=", "=="], size=m, p=[0.6, 0.25, 0.15]))
+    slack = rng.integers(0, 4, size=m)
+    b = a @ x0 + np.select(
+        [np.array(senses) == "<=", np.array(senses) == ">="], [slack, -slack], 0
+    )
+    c = rng.integers(-5, 6, size=n).astype(float)
+    return c, a, senses, b.astype(float), np.zeros(n), ub
+
+
+def _linprog(c, a, senses, b, lb, ub):
+    dense = a.toarray()
+    sign = np.array([1.0 if s == "<=" else -1.0 for s in senses])
+    ineq = np.array([s != "==" for s in senses])
+    return linprog(
+        c,
+        A_ub=(dense * sign[:, None])[ineq] if ineq.any() else None,
+        b_ub=(b * sign)[ineq] if ineq.any() else None,
+        A_eq=dense[~ineq] if (~ineq).any() else None,
+        b_eq=b[~ineq] if (~ineq).any() else None,
+        bounds=list(zip(lb, ub)),
+        method="highs",
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 300),
+    n=st.integers(2, 120),
+    density=st.floats(0.01, 0.05),
+)
+@settings(max_examples=40, deadline=None)
+def test_matches_scipy_on_random_sparse_lps(seed, m, n, density):
+    c, a, senses, b, lb, ub = _sparse_lp(seed, m, n, density)
+    ours = solve_lp(c, a, senses, b, lb, ub)
+    ref = _linprog(c, a, senses, b, lb, ub)
+    assert ref.status == 0, "feasible and bounded by construction"
+    assert ours.status is LPStatus.OPTIMAL
+    assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
+    lhs = a @ ours.x
+    tol = 1e-6 * (1.0 + np.abs(b))
+    for i, sense in enumerate(senses):
+        if sense == "<=":
+            assert lhs[i] <= b[i] + tol[i]
+        elif sense == ">=":
+            assert lhs[i] >= b[i] - tol[i]
+        else:
+            assert abs(lhs[i] - b[i]) <= tol[i]
+    assert np.all(ours.x >= lb - 1e-9) and np.all(ours.x <= ub + 1e-9)
+
+
+class TestSparseCore:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_and_csr_input_agree(self, seed):
+        c, a, senses, b, lb, ub = _sparse_lp(seed, 120, 60, 0.04)
+        from_csr = solve_lp(c, a, senses, b, lb, ub, want_basis=True)
+        from_dense = solve_lp(c, a.toarray(), senses, b, lb, ub, want_basis=True)
+        assert from_csr.status is from_dense.status is LPStatus.OPTIMAL
+        assert from_csr.objective == pytest.approx(from_dense.objective, rel=1e-12)
+        assert from_csr.iterations == from_dense.iterations
+
+    def test_rows_are_shared_across_solves(self):
+        c, a, senses, b, lb, ub = _sparse_lp(5, 80, 40, 0.05)
+        rows = LPRows(a, senses)
+        before = rows.a.data.copy()
+        base = rows.solve(c, b, lb, ub, want_basis=True)
+        tight = ub.copy()
+        tight[np.argmax(base.x)] = 0.0
+        warm = rows.solve(c, b, lb, tight, warm_basis=base.basis)
+        cold = solve_lp(c, a, senses, b, lb, tight)
+        assert warm.status is cold.status
+        if cold.is_optimal:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+        # Node LPs copy only the artificial signs; the shared rows stay put.
+        assert np.array_equal(rows.a.data, before)
+
+    def test_singular_warm_basis_falls_back_to_cold(self):
+        # Columns 0 and 1 are parallel, so a basis of {x0, x1} is singular.
+        c = np.array([-1.0, -1.0, -1.0])
+        a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 1.0]])
+        senses = ["<=", "<="]
+        b = np.array([4.0, 10.0])
+        lb, ub = np.zeros(3), np.full(3, 5.0)
+        singular = LPBasis(
+            np.array([_BASIC, _BASIC, _AT_LOWER], dtype=np.int8),
+            np.array([_AT_LOWER, _AT_LOWER], dtype=np.int8),
+        )
+        res = solve_lp(c, a, senses, b, lb, ub, warm_basis=singular)
+        cold = solve_lp(c, a, senses, b, lb, ub)
+        assert not res.warm_started
+        assert res.status is cold.status is LPStatus.OPTIMAL
+        assert res.objective == pytest.approx(cold.objective)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-14])
+    def test_singular_factor_raises(self, eps):
+        # Exactly singular (SuperLU's own error) and numerically singular
+        # (the |diag(U)| test) bases both map to _SingularBasis.
+        basis = sparse.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0 + eps]]))
+        with pytest.raises(_SingularBasis):
+            _BasisFactors(basis)
+
+    @pytest.mark.parametrize("engine", ["simplex", "scipy"])
+    def test_bnb_never_densifies(self, engine, monkeypatch):
+        m = Model()
+        xs = [m.add_binary(f"x{i}") for i in range(8)]
+        y = m.add_continuous("y", ub=3.0)
+        weights = [3, 4, 2, 3, 2, 5, 1, 4]
+        values = [10, 13, 7, 8, 6, 12, 2, 9]
+        m.add_constr(lin_sum(w * x for w, x in zip(weights, xs)) + y <= 11)
+        m.add_constr(xs[0] + xs[1] >= 1)
+        m.add_constr(xs[2] + xs[3] + y == 2)
+        m.maximize(lin_sum(v * x for v, x in zip(values, xs)) + 0.5 * y)
+        form = m.to_matrix_form()
+        ref = m.solve(backend="scipy")
+
+        def refuse(self):
+            raise AssertionError("dense constraint matrix built")
+
+        monkeypatch.setattr(MatrixForm, "dense_A", refuse)
+        from repro.ilp.branch_and_bound import solve_milp
+
+        out = solve_milp(form, BnBOptions(lp_engine=engine))
+        assert out.status == "optimal"
+        assert -out.objective - form.obj_constant == pytest.approx(ref.objective)
